@@ -20,7 +20,7 @@ use relcnn_bench::{quick_mode, results_dir, write_csv};
 use relcnn_core::guarantee::{silent_layer_bound, silent_layer_probability};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite};
 use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{BucketConfig, DmrAlu, PlainAlu, RedundancyMode, RetryPolicy, TmrAlu};
+use relcnn_relexec::{with_alu, BucketConfig, RedundancyMode, RetryPolicy};
 use relcnn_runtime::{
     run_campaign_sink, CampaignConfig, CampaignSink, EarlyStop, JsonlSink, TrialOutcome,
     TrialResult,
@@ -101,29 +101,10 @@ fn main() {
                         (outcome, out.stats)
                     }
                 };
-                let (outcome, _stats, injector_stats) = match mode {
-                    RedundancyMode::Plain => {
-                        let mut alu = PlainAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
-                    }
-                    RedundancyMode::Dmr => {
-                        let mut alu = DmrAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
-                    }
-                    RedundancyMode::Tmr => {
-                        let mut alu = TmrAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
-                    }
-                };
+                let ((outcome, _stats), injector) = with_alu(mode, injector, |alu| {
+                    run(reliable_conv2d(&input, &weights, None, &geom, alu, &config))
+                });
+                let injector_stats = injector.stats();
                 TrialResult {
                     outcome,
                     injector: injector_stats,

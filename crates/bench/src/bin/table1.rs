@@ -156,12 +156,11 @@ fn main() {
     let paper_ratio = 648.87 / 301.91;
     println!("\nredundant/plain ratio: wall-clock {ratio:.3}, cycle-model {cycle_ratio:.3}, paper {paper_ratio:.3}");
     println!(
-        "  (the Rust wall-clock ratio is bookkeeping-dominated: a native f32\n\
-         multiply costs ~1ns against ~2ns of qualifier/checkpoint overhead,\n\
-         whereas the paper's Python pays ~1us per overloaded call, so its\n\
-         ratio isolates the 2 muls + compare of Algorithm 2. The cycle model\n\
-         prices the hardware operators the paper targets and lands in the\n\
-         paper's band.)"
+        "  (fault-free runs take the clean-horizon fast path: every replica\n\
+         executes every multiply-accumulate and DMR compares the two, so the\n\
+         wall-clock ratio prices the redundancy itself, as the paper's ratio\n\
+         of 2 muls + compare per operation does. The cycle model prices the\n\
+         hardware operators the paper targets.)"
     );
     println!(
         "plain/native ratio:    measured {:.1}x",

@@ -8,7 +8,7 @@ use relcnn_nn::metrics::ConfusionMatrix;
 use relcnn_nn::train::{evaluate, train, TrainConfig};
 use relcnn_nn::{alexnet, InferScratch, Network};
 use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{DmrAlu, PlainAlu, RedundancyMode, TmrAlu};
+use relcnn_relexec::{with_alu, RedundancyMode};
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::init::Rand;
 use relcnn_tensor::ops::argmax_slice;
@@ -410,48 +410,13 @@ impl HybridCnn {
         // read its counters and so consecutive classifications draw fresh
         // randomness. On an abort the injector is left at its pre-call
         // state (the error itself carries the diagnosis).
-        let (conv_out, stats) = match self.config.redundancy {
-            RedundancyMode::Plain => {
-                let mut alu = PlainAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
-            }
-            RedundancyMode::Dmr => {
-                let mut alu = DmrAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
-            }
-            RedundancyMode::Tmr => {
-                let mut alu = TmrAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
-            }
-        };
-        let mut stats = stats;
+        let mode = self.config.redundancy;
+        let (out, evolved) = with_alu(mode, injector.clone(), |alu| {
+            reliable_conv2d(image, filters, Some(bias), &geom, alu, &self.config.conv)
+        });
+        let out = out?;
+        *injector = evolved;
+        let mut stats = out.stats;
         // Optional partition extension: the ReLU after conv-1 also runs
         // reliably (qualified comparator ops share the bucket semantics).
         let mut tail_start = 1usize;
@@ -462,38 +427,11 @@ impl HybridCnn {
                 });
             }
             tail_start = 2;
-            let relu_out = match self.config.redundancy {
-                RedundancyMode::Plain => {
-                    let mut alu = PlainAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-                RedundancyMode::Dmr => {
-                    let mut alu = DmrAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-                RedundancyMode::Tmr => {
-                    let mut alu = TmrAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-            };
+            let (relu_out, evolved) = with_alu(mode, injector.clone(), |alu| {
+                relcnn_relexec::conv::reliable_relu(&out.output, alu, &self.config.conv)
+            });
+            let relu_out = relu_out?;
+            *injector = evolved;
             stats.acc_ops += relu_out.stats.acc_ops;
             stats.failed_ops += relu_out.stats.failed_ops;
             stats.retries += relu_out.stats.retries;
@@ -502,7 +440,7 @@ impl HybridCnn {
             stats.bucket_peak = stats.bucket_peak.max(relu_out.stats.bucket_peak);
             relu_out.output
         } else {
-            conv_out
+            out.output
         };
         let guarantee = GuaranteeReport::from_stats(self.config.redundancy, &stats);
 

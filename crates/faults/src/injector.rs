@@ -1,9 +1,9 @@
 use crate::bits;
-use crate::model::{FaultDuration, FaultKind, FaultSite, OpContext};
+use crate::model::{Exposures, FaultDuration, FaultKind, FaultSite, Horizon, OpContext, SiteMask};
 use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{f64_threshold, ChaCha8Rng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Counters maintained by every injector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,6 +43,29 @@ pub trait FaultInjector: Send {
 
     /// Resets counters (not the fault schedule or RNG position).
     fn reset_stats(&mut self);
+
+    /// How far ahead the exposures are guaranteed clean, for a caller
+    /// whose next operation has index `next_op` (see [`Horizon`]).
+    ///
+    /// The default is [`Horizon::NONE`]: every exposure goes through
+    /// [`perturb`](Self::perturb). An injector that overrides it must
+    /// also override [`commit_clean`](Self::commit_clean).
+    fn clean_horizon(&mut self, next_op: u64) -> Horizon {
+        let _ = next_op;
+        Horizon::NONE
+    }
+
+    /// Commits a run of exposures inside the current horizon in closed
+    /// form: counters, schedule and RNG position end exactly where
+    /// `perturb` on each exposure of the run would have left them.
+    ///
+    /// Callers commit only runs inside the horizon the injector last
+    /// reported, and make no `perturb` call between that report and the
+    /// commit. The default horizon is empty, so the default commit has
+    /// nothing to do.
+    fn commit_clean(&mut self, run: &Exposures) {
+        debug_assert_eq!(run.total(), 0, "commit outside an empty horizon");
+    }
 }
 
 /// The no-fault injector: passes every value through untouched.
@@ -73,36 +96,88 @@ impl FaultInjector for NoFaults {
     fn reset_stats(&mut self) {
         self.stats = InjectorStats::default();
     }
+
+    fn clean_horizon(&mut self, _next_op: u64) -> Horizon {
+        Horizon::UNBOUNDED
+    }
+
+    fn commit_clean(&mut self, run: &Exposures) {
+        self.stats.exposures += run.total();
+    }
 }
+
+/// Draws one keystream scan of [`BerInjector::clean_horizon`] looks ahead.
+const SCAN_DRAWS: u64 = 1 << 15;
+
+/// A horizon with fewer clean draws left than this, and no fault found
+/// behind them, is scanned afresh.
+const RESCAN_BELOW: u64 = SCAN_DRAWS / 8;
 
 /// Uniform bit-error-rate injector: on every exposure, with probability
 /// `ber`, flips one uniformly random bit of the value (transient SEU).
 ///
-/// Optionally restricted to a subset of [`FaultSite`]s.
+/// Optionally restricted to a subset of [`FaultSite`]s; only exposures at
+/// those sites draw from the RNG.
+///
+/// Each drawing exposure consumes one `random::<f64>()` draw, plus one
+/// `random_range` draw for the bit when the fault fires. Its
+/// [`clean_horizon`](FaultInjector::clean_horizon) scans the keystream
+/// ahead for the first firing draw (`ChaCha8Rng::scan_f64_below`), so a
+/// caller can skip the clean draws before it and the injector seeks past
+/// them on [`commit_clean`](FaultInjector::commit_clean).
 #[derive(Debug, Clone)]
 pub struct BerInjector {
     rng: ChaCha8Rng,
     ber: f64,
-    sites: Option<Vec<FaultSite>>,
+    /// `f64_threshold(ber)`: a draw fires when its top 53 bits are below.
+    threshold: u64,
+    sites: SiteMask,
     stats: InjectorStats,
+    /// The last keystream scan, if any.
+    scan: Option<BerScan>,
+}
+
+/// The result of one keystream scan: of the draws starting at word
+/// `from`, the first `clean` do not fire; draw `clean` fires if `hit`.
+#[derive(Debug, Clone, Copy)]
+struct BerScan {
+    from: u128,
+    clean: u64,
+    hit: bool,
+}
+
+impl BerScan {
+    /// Clean draws left from word position `pos`, if the scan covers it.
+    fn clean_from(&self, pos: u128) -> Option<u64> {
+        let used = pos.checked_sub(self.from)?;
+        if used % 2 != 0 {
+            return None;
+        }
+        u64::try_from(used / 2)
+            .ok()
+            .and_then(|used| self.clean.checked_sub(used))
+    }
 }
 
 impl BerInjector {
     /// Creates an injector with the given seed and per-exposure bit error
     /// rate (clamped to `[0, 1]`).
     pub fn new(seed: u64, ber: f64) -> Self {
+        let ber = ber.clamp(0.0, 1.0);
         BerInjector {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            ber: ber.clamp(0.0, 1.0),
-            sites: None,
+            ber,
+            threshold: f64_threshold(ber),
+            sites: SiteMask::ALL,
             stats: InjectorStats::default(),
+            scan: None,
         }
     }
 
     /// Restricts injection to the given sites; exposures at other sites
-    /// pass through clean.
+    /// pass through clean and draw nothing.
     pub fn with_sites(mut self, sites: impl Into<Vec<FaultSite>>) -> Self {
-        self.sites = Some(sites.into());
+        self.sites = SiteMask::of(&sites.into());
         self
     }
 
@@ -115,10 +190,8 @@ impl BerInjector {
 impl FaultInjector for BerInjector {
     fn perturb(&mut self, ctx: OpContext, value: f32) -> f32 {
         self.stats.exposures += 1;
-        if let Some(sites) = &self.sites {
-            if !sites.contains(&ctx.site) {
-                return value;
-            }
+        if !self.sites.contains(ctx.site) {
+            return value;
         }
         if self.rng.random::<f64>() < self.ber {
             self.stats.injected += 1;
@@ -135,6 +208,50 @@ impl FaultInjector for BerInjector {
 
     fn reset_stats(&mut self) {
         self.stats = InjectorStats::default();
+    }
+
+    fn clean_horizon(&mut self, _next_op: u64) -> Horizon {
+        if self.threshold == 0 {
+            return Horizon::UNBOUNDED;
+        }
+        let pos = self.rng.get_word_pos();
+        let cached = self.scan.and_then(|scan| {
+            let clean = scan.clean_from(pos)?;
+            (scan.hit || clean >= RESCAN_BELOW).then_some(clean)
+        });
+        let clean = cached.unwrap_or_else(|| {
+            let found = self.rng.scan_f64_below(self.threshold, SCAN_DRAWS);
+            let clean = found.unwrap_or(SCAN_DRAWS);
+            self.scan = Some(BerScan {
+                from: pos,
+                clean,
+                hit: found.is_some(),
+            });
+            clean
+        });
+        Horizon {
+            until_op: u64::MAX,
+            exposures: clean,
+            sites: self.sites,
+        }
+    }
+
+    fn commit_clean(&mut self, run: &Exposures) {
+        self.stats.exposures += run.total();
+        let draws = run.at(self.sites);
+        if draws > 0 {
+            let pos = self.rng.get_word_pos();
+            debug_assert!(
+                self.threshold == 0
+                    || self
+                        .scan
+                        .and_then(|s| s.clean_from(pos))
+                        .is_some_and(|clean| clean >= draws),
+                "commit beyond the clean horizon"
+            );
+            // Each clean draw is one `next_u64`: two keystream words.
+            self.rng.set_word_pos(pos + 2 * draws as u128);
+        }
     }
 }
 
@@ -195,7 +312,7 @@ impl ScriptedFault {
 #[derive(Debug, Clone, Default)]
 pub struct ScriptedInjector {
     // op_index -> scripted faults at that index.
-    schedule: HashMap<u64, Vec<ScriptedFault>>,
+    schedule: BTreeMap<u64, Vec<ScriptedFault>>,
     // Count of transient faults already consumed, keyed by schedule slot.
     consumed: HashMap<(u64, usize), bool>,
     rng: Option<ChaCha8Rng>,
@@ -205,7 +322,7 @@ pub struct ScriptedInjector {
 impl ScriptedInjector {
     /// Creates an injector from a fault script.
     pub fn new(faults: impl IntoIterator<Item = ScriptedFault>) -> Self {
-        let mut schedule: HashMap<u64, Vec<ScriptedFault>> = HashMap::new();
+        let mut schedule: BTreeMap<u64, Vec<ScriptedFault>> = BTreeMap::new();
         for f in faults {
             schedule.entry(f.op_index).or_default().push(f);
         }
@@ -303,6 +420,25 @@ impl FaultInjector for ScriptedInjector {
 
     fn reset_stats(&mut self) {
         self.stats = InjectorStats::default();
+    }
+
+    /// Clean up to the next op index with a scheduled fault, whatever its
+    /// replica or site filter.
+    fn clean_horizon(&mut self, next_op: u64) -> Horizon {
+        let until_op = self
+            .schedule
+            .range(next_op..)
+            .next()
+            .map_or(u64::MAX, |(&op, _)| op);
+        Horizon {
+            until_op,
+            exposures: u64::MAX,
+            sites: SiteMask::ALL,
+        }
+    }
+
+    fn commit_clean(&mut self, run: &Exposures) {
+        self.stats.exposures += run.total();
     }
 }
 

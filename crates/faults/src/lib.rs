@@ -11,7 +11,10 @@
 //!
 //! The qualified operators of `relcnn-relexec` pull every elementary value
 //! through a [`FaultInjector`], so detection coverage can be measured
-//! end-to-end with seeded, reproducible [campaigns](campaign).
+//! end-to-end with seeded, reproducible [campaigns](campaign). Between
+//! faults an injector may report a clean [`Horizon`]; the reliable
+//! convolution then skips the per-value calls for the exposures inside
+//! it and commits them in closed form ([`FaultInjector::commit_clean`]).
 //!
 //! # Example
 //!
@@ -41,5 +44,5 @@ pub use injector::{
     BerInjector, FaultInjector, InjectorStats, NoFaults, ScriptedFault, ScriptedInjector,
     StuckBitInjector,
 };
-pub use model::{FaultDuration, FaultKind, FaultSite, OpContext};
+pub use model::{Exposures, FaultDuration, FaultKind, FaultSite, Horizon, OpContext, SiteMask};
 pub use skew::SkewedCost;

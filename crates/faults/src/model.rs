@@ -34,6 +34,103 @@ impl FaultSite {
     ];
 }
 
+impl FaultSite {
+    /// Number of distinct sites.
+    pub const COUNT: usize = 5;
+
+    /// Dense index of the site, in [`FaultSite::ALL`] order.
+    pub const fn index(self) -> usize {
+        match self {
+            FaultSite::WeightLoad => 0,
+            FaultSite::ActivationLoad => 1,
+            FaultSite::Multiplier => 2,
+            FaultSite::Accumulator => 3,
+            FaultSite::Comparator => 4,
+        }
+    }
+}
+
+/// A fixed set of [`FaultSite`]s, one bit per site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct SiteMask(u8);
+
+impl SiteMask {
+    /// No site.
+    pub const NONE: SiteMask = SiteMask(0);
+    /// Every site.
+    pub const ALL: SiteMask = SiteMask((1 << FaultSite::COUNT) - 1);
+
+    /// The mask of the given sites.
+    pub fn of(sites: &[FaultSite]) -> Self {
+        SiteMask(sites.iter().fold(0, |m, s| m | 1 << s.index()))
+    }
+
+    /// Whether `site` is in the set.
+    #[inline]
+    pub fn contains(self, site: FaultSite) -> bool {
+        self.0 & 1 << site.index() != 0
+    }
+}
+
+/// Counts of exposures per [`FaultSite`]: what a run of exposures
+/// committed in closed form (see [`Horizon`]) amounts to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Exposures {
+    /// Exposures at each site, indexed by [`FaultSite::index`].
+    pub per_site: [u64; FaultSite::COUNT],
+}
+
+impl Exposures {
+    /// Exposures at every site.
+    pub fn total(&self) -> u64 {
+        self.per_site.iter().sum()
+    }
+
+    /// Exposures at the sites of `mask`.
+    pub fn at(&self, mask: SiteMask) -> u64 {
+        FaultSite::ALL
+            .iter()
+            .filter(|s| mask.contains(**s))
+            .map(|s| self.per_site[s.index()])
+            .sum()
+    }
+}
+
+/// How far ahead an injector guarantees its exposures clean.
+///
+/// A run of upcoming exposures is *inside* the horizon when every one of
+/// them carries an op index below [`until_op`](Self::until_op) and at most
+/// [`exposures`](Self::exposures) of them fall on the [`sites`](Self::sites).
+/// Every exposure of a run inside the horizon passes its value through
+/// unchanged, so the caller may skip the per-exposure calls and commit
+/// the run in closed form instead (see `FaultInjector::commit_clean`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Horizon {
+    /// Exposures at this op index or beyond may fault.
+    pub until_op: u64,
+    /// How many upcoming exposures at `sites` are guaranteed clean.
+    pub exposures: u64,
+    /// The sites `exposures` counts; exposures elsewhere are clean
+    /// whatever their number.
+    pub sites: SiteMask,
+}
+
+impl Horizon {
+    /// No exposure is guaranteed clean: every one goes through `perturb`.
+    pub const NONE: Horizon = Horizon {
+        until_op: 0,
+        exposures: 0,
+        sites: SiteMask::ALL,
+    };
+
+    /// Every exposure is clean.
+    pub const UNBOUNDED: Horizon = Horizon {
+        until_op: u64::MAX,
+        exposures: u64::MAX,
+        sites: SiteMask::NONE,
+    };
+}
+
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -164,6 +261,24 @@ mod tests {
             assert!(!s.to_string().is_empty());
         }
         assert_eq!(seen.len(), 5);
+    }
+
+    #[test]
+    fn site_indices_follow_all_and_masks_count_per_site() {
+        for (i, s) in FaultSite::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i);
+            assert!(SiteMask::ALL.contains(s));
+            assert!(!SiteMask::NONE.contains(s));
+        }
+        let mask = SiteMask::of(&[FaultSite::Multiplier, FaultSite::Accumulator]);
+        assert!(mask.contains(FaultSite::Accumulator));
+        assert!(!mask.contains(FaultSite::WeightLoad));
+        let e = Exposures {
+            per_site: [1, 2, 30, 400, 5000],
+        };
+        assert_eq!(e.total(), 5433);
+        assert_eq!(e.at(mask), 430);
+        assert_eq!(e.at(SiteMask::NONE), 0);
     }
 
     #[test]

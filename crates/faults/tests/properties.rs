@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use relcnn_faults::bits;
 use relcnn_faults::{
-    BerInjector, FaultInjector, FaultSite, NoFaults, OpContext, ScriptedFault, ScriptedInjector,
+    BerInjector, Exposures, FaultInjector, FaultSite, Horizon, NoFaults, OpContext, ScriptedFault,
+    ScriptedInjector,
 };
 
 proptest! {
@@ -86,5 +87,108 @@ proptest! {
             1.0,
         );
         prop_assert_eq!(bits::hamming_f32(1.0, hit), 1);
+    }
+}
+
+/// Exposures of a run inside `horizon`: up to `want` per site, trimmed so
+/// that those on the horizon's sites fit its budget.
+fn run_within(horizon: &Horizon, want: [u64; FaultSite::COUNT]) -> Exposures {
+    let mut run = Exposures::default();
+    let mut left = horizon.exposures;
+    for site in FaultSite::ALL {
+        let mut n = want[site.index()];
+        if horizon.sites.contains(site) {
+            n = n.min(left);
+            left -= n;
+        }
+        run.per_site[site.index()] = n;
+    }
+    run
+}
+
+/// Sends every exposure of `run` through `perturb`, one site after
+/// another, at op indices from `op`; returns whether all came out clean.
+fn perturb_run(inj: &mut impl FaultInjector, run: &Exposures, op: u64) -> bool {
+    let mut clean = true;
+    for site in FaultSite::ALL {
+        for _ in 0..run.per_site[site.index()] {
+            let v = inj.perturb(OpContext::new(site, op), 1.25);
+            clean &= v.to_bits() == 1.25f32.to_bits();
+        }
+    }
+    clean
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Committing a run inside the BER horizon leaves the injector where
+    /// drawing each exposure would: same counters, and the same draws
+    /// (faults included) on the exposures that follow.
+    #[test]
+    fn ber_commit_matches_per_exposure_draws(
+        seed in any::<u64>(),
+        ber in prop::sample::select(vec![0.0, 1e-4, 1e-2, 0.3, 1.0]),
+        mask in 0u8..32,
+        runs in collection::vec((collection::vec(0u64..200, 5), 0u8..40), 1..8),
+    ) {
+        let sites: Vec<FaultSite> =
+            FaultSite::ALL.into_iter().filter(|s| mask & 1 << s.index() != 0).collect();
+        let mut fast = BerInjector::new(seed, ber).with_sites(sites);
+        let mut slow = fast.clone();
+        let mut op = 0u64;
+        for (want, tail) in runs {
+            let horizon = fast.clean_horizon(op);
+            let run = run_within(&horizon, std::array::from_fn(|i| want[i] * 37));
+            fast.commit_clean(&run);
+            prop_assert!(perturb_run(&mut slow, &run, op), "a run inside the horizon faulted");
+            prop_assert_eq!(fast.stats(), slow.stats());
+            op += 1;
+            // Per-exposure draws after the run, faults included.
+            for i in 0..tail as u64 {
+                let ctx = OpContext::new(FaultSite::ALL[(i % 5) as usize], op);
+                prop_assert_eq!(fast.perturb(ctx, 3.5).to_bits(), slow.perturb(ctx, 3.5).to_bits());
+            }
+            prop_assert_eq!(fast.stats(), slow.stats());
+        }
+    }
+
+    /// The scripted horizon ends at the next scheduled op index: every
+    /// exposure before it is clean, whatever its replica or site.
+    #[test]
+    fn scripted_horizon_ends_at_the_next_scheduled_op(
+        ops in collection::vec(0u64..200, 0..6),
+        from in 0u64..200,
+        bit in 0u32..32,
+    ) {
+        let mut inj = ScriptedInjector::new(
+            ops.iter().map(|&op| ScriptedFault::transient_flip(op, bit).permanent()),
+        );
+        let horizon = inj.clean_horizon(from);
+        let next = ops.iter().copied().filter(|&op| op >= from).min();
+        prop_assert_eq!(horizon.until_op, next.unwrap_or(u64::MAX));
+        let mut slow = inj.clone();
+        for op in from..horizon.until_op.min(from + 64) {
+            for site in FaultSite::ALL {
+                for replica in 0..3u8 {
+                    let ctx = OpContext::new(site, op).with_replica(replica);
+                    prop_assert_eq!(slow.perturb(ctx, 2.5), 2.5);
+                }
+            }
+        }
+        let mut run = Exposures::default();
+        run.per_site[0] = slow.stats().exposures;
+        inj.commit_clean(&run);
+        prop_assert_eq!(inj.stats(), slow.stats());
+    }
+
+    /// NoFaults is clean forever and commits count every exposure.
+    #[test]
+    fn no_faults_horizon_is_unbounded(op in any::<u64>(), n in collection::vec(any::<u32>(), 5)) {
+        let mut inj = NoFaults::new();
+        prop_assert_eq!(inj.clean_horizon(op), Horizon::UNBOUNDED);
+        let run = Exposures { per_site: std::array::from_fn(|i| n[i] as u64) };
+        inj.commit_clean(&run);
+        prop_assert_eq!(inj.stats().exposures, run.total());
     }
 }

@@ -161,3 +161,61 @@ fn hammer_eight_writers_racing_a_drainer() {
     let json = export_chrome(&drains);
     validate(&json).expect("hammered export must validate");
 }
+
+/// The raw JSON value tree, read and written as is.
+struct Doc(serde::Value);
+
+impl serde::Deserialize for Doc {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Doc(value.clone()))
+    }
+}
+
+impl serde::Serialize for Doc {
+    fn to_value(&self) -> serde::Value {
+        self.0.clone()
+    }
+}
+
+/// A megabyte export full of multi-byte scalars and escapes parses to
+/// exactly the recorded events, and writing the parsed tree back out
+/// reproduces the document byte for byte (less the exporter's line
+/// breaks, which sit between events only).
+#[test]
+fn megabyte_export_parses_byte_for_byte() {
+    let names = [
+        "stage-é",
+        "conv€ \"q\"",
+        "tail😀\\path",
+        "tab\there\nnl\u{1}",
+    ];
+    let tr = TraceRecorder::with_capacity("proc-é€😀", 1 << 16);
+    let ring = tr.ring("lane \"0\" ✓");
+    for i in 0..6_000u64 {
+        let name = names[i as usize % names.len()];
+        ring.span(
+            name,
+            "cat-€",
+            3 * i,
+            3 * i + 2,
+            &[Arg::S("note", name), Arg::U("i", i)],
+        );
+    }
+    let snap = tr.drain();
+    let json = export_chrome(std::slice::from_ref(&snap));
+    assert!(json.len() >= 1 << 20, "document is {} bytes", json.len());
+
+    let parsed = validate(&json).expect("export validates");
+    let records = &snap.threads[0].records;
+    let spans: Vec<_> = parsed.events.iter().filter(|e| e.ph != 'M').collect();
+    assert_eq!(spans.len(), 2 * records.len());
+    for (pair, rec) in spans.chunks(2).zip(records) {
+        assert_eq!(pair[0].name, rec.name());
+        assert_eq!(pair[1].name, rec.name());
+        assert_eq!(pair[0].cat, "cat-€");
+    }
+
+    let tree: Doc = serde_json::from_str(&json).expect("parses");
+    let rewritten = serde_json::to_string(&tree).expect("writes");
+    assert_eq!(rewritten, json.replace('\n', ""));
+}

@@ -1,7 +1,7 @@
 use crate::cost::OpCost;
 use crate::policy::RedundancyMode;
 use crate::qualified::Qualified;
-use relcnn_faults::{FaultInjector, FaultSite, InjectorStats, OpContext};
+use relcnn_faults::{Exposures, FaultInjector, FaultSite, Horizon, InjectorStats, OpContext};
 
 /// A qualified arithmetic-logic unit: the "overloaded multiplication and
 /// overloaded addition" of Algorithm 3.
@@ -55,6 +55,35 @@ pub trait QualifiedAlu {
 
     /// Fault-injector counters.
     fn injector_stats(&self) -> InjectorStats;
+
+    /// How far ahead the injector guarantees clean exposures from the
+    /// next operation on (see [`Horizon`]). The default,
+    /// [`Horizon::NONE`], keeps every operation on the per-op path.
+    fn clean_horizon(&mut self) -> Horizon {
+        Horizon::NONE
+    }
+
+    /// Commits `macs` multiply-accumulates, plus `bias_loads` bias
+    /// fetches, that the caller executed clean inside the horizon: the
+    /// op index, cycles and injector end where the per-op sequence
+    /// (`load_weight`, `load_activation`, `mul`, `acc` per MAC, every
+    /// qualifier passing) would have left them.
+    fn commit_clean_macs(&mut self, macs: u64, bias_loads: u64) {
+        debug_assert_eq!(macs + bias_loads, 0, "commit outside an empty horizon");
+    }
+}
+
+/// The exposures of `macs` clean multiply-accumulates and `bias_loads`
+/// bias fetches on an ALU with `replicas` replicas: per MAC one weight and
+/// one activation load (common-mode), and one multiplier and one
+/// accumulator exposure per replica; per bias one weight load.
+pub(crate) fn mac_exposures(replicas: u8, macs: u64, bias_loads: u64) -> Exposures {
+    let mut per_site = [0u64; FaultSite::COUNT];
+    per_site[FaultSite::WeightLoad.index()] = macs + bias_loads;
+    per_site[FaultSite::ActivationLoad.index()] = macs;
+    per_site[FaultSite::Multiplier.index()] = replicas as u64 * macs;
+    per_site[FaultSite::Accumulator.index()] = replicas as u64 * macs;
+    Exposures { per_site }
 }
 
 /// State shared by all ALU implementations.
@@ -154,6 +183,19 @@ macro_rules! forward_common {
 
         fn injector_stats(&self) -> InjectorStats {
             self.core.injector.stats()
+        }
+
+        fn clean_horizon(&mut self) -> Horizon {
+            self.core.injector.clean_horizon(self.core.op_index)
+        }
+
+        fn commit_clean_macs(&mut self, macs: u64, bias_loads: u64) {
+            let mode = self.mode();
+            let core = &mut self.core;
+            core.injector
+                .commit_clean(&mac_exposures(mode.replicas(), macs, bias_loads));
+            core.op_index += 2 * macs;
+            core.cycles += bias_loads * core.cost.load + macs * core.cost.mac_best(mode);
         }
     };
 }
@@ -378,6 +420,112 @@ impl<I: FaultInjector> QualifiedAlu for TmrAlu<I> {
     }
 
     forward_common!();
+}
+
+/// The ALU of a [`RedundancyMode`] chosen at run time: one type for
+/// code that takes the mode from a configuration.
+#[derive(Debug, Clone)]
+pub enum ModeAlu<I> {
+    /// Algorithm 1.
+    Plain(PlainAlu<I>),
+    /// Algorithm 2.
+    Dmr(DmrAlu<I>),
+    /// Triple modular redundancy.
+    Tmr(TmrAlu<I>),
+}
+
+impl<I: FaultInjector> ModeAlu<I> {
+    /// Builds the ALU of `mode` around a fault injector.
+    pub fn new(mode: RedundancyMode, injector: I) -> Self {
+        match mode {
+            RedundancyMode::Plain => ModeAlu::Plain(PlainAlu::new(injector)),
+            RedundancyMode::Dmr => ModeAlu::Dmr(DmrAlu::new(injector)),
+            RedundancyMode::Tmr => ModeAlu::Tmr(TmrAlu::new(injector)),
+        }
+    }
+
+    /// Consumes the ALU, returning its injector.
+    pub fn into_injector(self) -> I {
+        match self {
+            ModeAlu::Plain(alu) => alu.into_injector(),
+            ModeAlu::Dmr(alu) => alu.into_injector(),
+            ModeAlu::Tmr(alu) => alu.into_injector(),
+        }
+    }
+}
+
+macro_rules! dispatch {
+    ($self:ident, $alu:ident => $call:expr) => {
+        match $self {
+            ModeAlu::Plain($alu) => $call,
+            ModeAlu::Dmr($alu) => $call,
+            ModeAlu::Tmr($alu) => $call,
+        }
+    };
+}
+
+impl<I: FaultInjector> QualifiedAlu for ModeAlu<I> {
+    fn mode(&self) -> RedundancyMode {
+        dispatch!(self, alu => alu.mode())
+    }
+    fn load_weight(&mut self, value: f32) -> f32 {
+        dispatch!(self, alu => alu.load_weight(value))
+    }
+    fn load_activation(&mut self, value: f32) -> f32 {
+        dispatch!(self, alu => alu.load_activation(value))
+    }
+    fn mul(&mut self, a: f32, b: f32) -> Qualified<f32> {
+        dispatch!(self, alu => alu.mul(a, b))
+    }
+    fn acc(&mut self, acc: f32, addend: f32) -> Qualified<f32> {
+        dispatch!(self, alu => alu.acc(acc, addend))
+    }
+    fn max_zero(&mut self, a: f32) -> Qualified<f32> {
+        dispatch!(self, alu => alu.max_zero(a))
+    }
+    fn rollback_op(&mut self) {
+        dispatch!(self, alu => alu.rollback_op())
+    }
+    fn set_pe(&mut self, pe: u32) {
+        dispatch!(self, alu => alu.set_pe(pe))
+    }
+    fn op_count(&self) -> u64 {
+        dispatch!(self, alu => alu.op_count())
+    }
+    fn cycles(&self) -> u64 {
+        dispatch!(self, alu => alu.cycles())
+    }
+    fn injector_stats(&self) -> InjectorStats {
+        dispatch!(self, alu => alu.injector_stats())
+    }
+    fn clean_horizon(&mut self) -> Horizon {
+        dispatch!(self, alu => alu.clean_horizon())
+    }
+    fn commit_clean_macs(&mut self, macs: u64, bias_loads: u64) {
+        dispatch!(self, alu => alu.commit_clean_macs(macs, bias_loads))
+    }
+}
+
+/// Runs `f` on a fresh ALU of `mode` around `injector` and hands back the
+/// evolved injector with `f`'s result: the one place a run-time
+/// [`RedundancyMode`] becomes an ALU.
+///
+/// ```rust
+/// use relcnn_faults::{FaultInjector, NoFaults};
+/// use relcnn_relexec::{with_alu, QualifiedAlu, RedundancyMode};
+///
+/// let (q, injector) = with_alu(RedundancyMode::Tmr, NoFaults::new(), |alu| alu.mul(3.0, 4.0));
+/// assert_eq!(q.value(), 12.0);
+/// assert_eq!(injector.stats().exposures, 3); // one per replica
+/// ```
+pub fn with_alu<I: FaultInjector, R>(
+    mode: RedundancyMode,
+    injector: I,
+    f: impl FnOnce(&mut ModeAlu<I>) -> R,
+) -> (R, I) {
+    let mut alu = ModeAlu::new(mode, injector);
+    let out = f(&mut alu);
+    (out, alu.into_injector())
 }
 
 #[cfg(test)]

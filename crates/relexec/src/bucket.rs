@@ -130,6 +130,14 @@ impl LeakyBucket {
         self.level = self.level.saturating_sub(1);
     }
 
+    /// Records `n` correct operations in closed form: the same level,
+    /// peak and counters as `n` calls to
+    /// [`record_success`](Self::record_success).
+    pub fn record_successes(&mut self, n: u64) {
+        self.successes += n;
+        self.level = self.level.saturating_sub(n.min(u32::MAX as u64) as u32);
+    }
+
     /// Whether the bucket has ever crossed the ceiling.
     pub fn has_overflowed(&self) -> bool {
         self.peak >= self.config.ceiling

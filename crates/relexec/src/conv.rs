@@ -15,14 +15,16 @@
 //! alternative (full re-execution on mismatch) used by the rollback-
 //! distance ablation.
 
-use crate::alu::QualifiedAlu;
+use crate::alu::{mac_exposures, QualifiedAlu};
 use crate::bucket::{BucketConfig, BucketState, LeakyBucket};
 use crate::error::ExecError;
 use crate::policy::RetryPolicy;
 use crate::qualified::Qualified;
+use relcnn_faults::Horizon;
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::{Shape, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Configuration of a reliable convolution run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,11 +177,229 @@ fn validate(
     Ok((in_c, out_c))
 }
 
+/// The kernel taps of a convolution that land inside the input, per
+/// output row and column. Padded taps issue no operation and no exposure.
+struct TapPlan {
+    in_c: usize,
+    in_h: usize,
+    in_w: usize,
+    k_h: usize,
+    k_w: usize,
+    stride: usize,
+    pad: usize,
+    out_w: usize,
+    /// Valid kernel rows per output row.
+    rows: Vec<Range<usize>>,
+    /// Valid kernel columns per output column.
+    cols: Vec<Range<usize>>,
+    /// Valid kernel rows summed over the output rows before each one.
+    rows_before: Vec<usize>,
+    /// Valid kernel columns summed over the output columns before each
+    /// one; the last entry is the sum over the whole row.
+    cols_before: Vec<usize>,
+}
+
+/// Running sums `[0, l₀, l₀ + l₁, …]` of the range lengths.
+fn lengths_before(ranges: &[Range<usize>]) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(ranges.iter().scan(0, |sum, r| {
+            *sum += r.len();
+            Some(*sum)
+        }))
+        .collect()
+}
+
+/// Kernel offsets `k_i < k` with `0 <= out_i·stride + k_i − pad < len`.
+fn valid_taps(out_i: usize, stride: usize, pad: usize, k: usize, len: usize) -> Range<usize> {
+    let origin = out_i * stride;
+    let lo = pad.saturating_sub(origin).min(k);
+    let hi = (len + pad).saturating_sub(origin).min(k);
+    lo..hi.max(lo)
+}
+
+impl TapPlan {
+    fn new(geom: &ConvGeometry, in_c: usize) -> Self {
+        let (stride, pad) = (geom.stride(), geom.padding());
+        let rows: Vec<_> = (0..geom.out_h())
+            .map(|oy| valid_taps(oy, stride, pad, geom.k_h(), geom.in_h()))
+            .collect();
+        let cols: Vec<_> = (0..geom.out_w())
+            .map(|ox| valid_taps(ox, stride, pad, geom.k_w(), geom.in_w()))
+            .collect();
+        TapPlan {
+            in_c,
+            in_h: geom.in_h(),
+            in_w: geom.in_w(),
+            k_h: geom.k_h(),
+            k_w: geom.k_w(),
+            stride,
+            pad,
+            out_w: geom.out_w(),
+            rows_before: lengths_before(&rows),
+            cols_before: lengths_before(&cols),
+            rows,
+            cols,
+        }
+    }
+
+    /// Multiply-accumulates of the elements before element `e` of a
+    /// channel (row-major), in closed form.
+    fn macs_before(&self, e: usize) -> u64 {
+        let (oy, ox) = (e / self.out_w, e % self.out_w);
+        let full_rows = self.rows_before[oy] * self.cols_before[self.out_w];
+        let this_row = if ox == 0 {
+            0
+        } else {
+            self.rows[oy].len() * self.cols_before[ox]
+        };
+        (self.in_c * (full_rows + this_row)) as u64
+    }
+
+    /// The end of the longest run of elements from `elems.start` whose
+    /// exposures all lie inside `horizon`, for a convolution whose next
+    /// operation has index `next_op`.
+    fn fit(
+        &self,
+        elems: Range<usize>,
+        horizon: Horizon,
+        next_op: u64,
+        replicas: u8,
+        has_bias: bool,
+    ) -> usize {
+        let per_mac = mac_exposures(replicas, 1, 0).at(horizon.sites);
+        let per_bias = mac_exposures(replicas, 0, has_bias as u64).at(horizon.sites);
+        let base = self.macs_before(elems.start);
+        // Whether elements `elems.start .. end` all fit; monotone in `end`.
+        let fits = |end: usize| {
+            if end == elems.start {
+                return true;
+            }
+            let macs = self.macs_before(end) - base;
+            let need = macs * per_mac + (end - elems.start) as u64 * per_bias;
+            // The exposures of the last element carry op indices up to its
+            // last accumulate, or its own first index (the bias load) if
+            // it has no tap.
+            let last_macs = self.macs_before(end) - self.macs_before(end - 1);
+            let last_op = next_op + 2 * macs - (last_macs > 0) as u64;
+            need <= horizon.exposures && last_op < horizon.until_op
+        };
+        // Binary search for the largest fitting end.
+        let (mut lo, mut hi) = (elems.start, elems.end);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        lo
+    }
+
+    /// One replica's pass over the output elements `elems` of one output
+    /// channel (filters `f`, accumulator start `acc0`): each element's
+    /// accumulation chain in the per-op path's order, `acc + w·a` over
+    /// the valid taps with ascending channel, row and column, no zero
+    /// skipped, each product rounded before it is added.
+    ///
+    /// Runs of [`ROW_GROUP`] neighbours in one output row with the same
+    /// valid taps share each weight load and advance their chains side by
+    /// side: every chain keeps its own order, the group only lets the
+    /// CPU (and the vectoriser) overlap independent elements.
+    ///
+    /// Never inlined: every replica runs the same machine code, so even a
+    /// NaN, whose bits Rust leaves to the compiler, comes out the same.
+    #[inline(never)]
+    fn replica_pass(&self, x: &[f32], f: &[f32], acc0: f32, elems: Range<usize>, out: &mut [f32]) {
+        let (mut oy, mut ox) = (elems.start / self.out_w, elems.start % self.out_w);
+        let mut i = 0;
+        while i < out.len() {
+            let width = if i + ROW_GROUP <= out.len()
+                && ox + ROW_GROUP <= self.out_w
+                // Valid column ranges only shrink towards the edges, so
+                // equal ends mean equal ranges throughout.
+                && self.cols[ox] == self.cols[ox + ROW_GROUP - 1]
+            {
+                let group: &mut [f32; ROW_GROUP] = (&mut out[i..i + ROW_GROUP]).try_into().unwrap();
+                self.chains(x, f, acc0, oy, ox, group);
+                ROW_GROUP
+            } else {
+                let single: &mut [f32; 1] = (&mut out[i..i + 1]).try_into().unwrap();
+                self.chains(x, f, acc0, oy, ox, single);
+                1
+            };
+            i += width;
+            ox += width;
+            if ox == self.out_w {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+    }
+
+    /// The accumulation chains of the `L` output elements from `(oy, ox)`
+    /// along one output row, all with the valid taps of `(oy, ox)`.
+    #[inline(always)]
+    fn chains<const L: usize>(
+        &self,
+        x: &[f32],
+        f: &[f32],
+        acc0: f32,
+        oy: usize,
+        ox: usize,
+        out: &mut [f32; L],
+    ) {
+        let (ky, kx) = (self.rows[oy].clone(), self.cols[ox].clone());
+        let mut acc = [acc0; L];
+        if !ky.is_empty() && !kx.is_empty() {
+            let iy0 = oy * self.stride + ky.start - self.pad;
+            let ix0 = ox * self.stride + kx.start - self.pad;
+            // Input columns lane 0 reads; lane `j` reads `stride·j` on.
+            let span = (L - 1) * self.stride + kx.len();
+            for ic in 0..self.in_c {
+                for (row, k_y) in ky.clone().enumerate() {
+                    let xs = &x[(ic * self.in_h + iy0 + row) * self.in_w + ix0..][..span];
+                    let fs = &f[(ic * self.k_h + k_y) * self.k_w + kx.start..][..kx.len()];
+                    for (t, &w) in fs.iter().enumerate() {
+                        for (lane, &a) in acc.iter_mut().zip(xs[t..].iter().step_by(self.stride)) {
+                            *lane += w * a;
+                        }
+                    }
+                }
+            }
+        }
+        *out = acc;
+    }
+}
+
+/// Neighbouring output elements one replica pass advances side by side.
+const ROW_GROUP: usize = 8;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: flips the sign of the last replica's result for this
+    /// flat output index on the fast path, standing in for a fault that
+    /// no horizon foresaw.
+    static UPSET_REPLICA_AT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
 /// Algorithm 3: one full convolution layer executed reliably.
 ///
 /// Every multiply and every accumulate is a qualified operation on `alu`;
 /// a failed qualifier triggers a single-operation rollback and retry, and
 /// the leaky bucket escalates persistent error patterns into an abort.
+///
+/// **Clean horizon.** Between faults the kernel does not go through the
+/// ALU one operation at a time. It asks the ALU for the injector's
+/// [`Horizon`] and runs the output elements whose exposures all lie
+/// inside it as tight loops: every replica of the ALU's mode really
+/// executes every element (one for Plain, two compared bitwise for DMR,
+/// three that must agree for TMR), and the operation index, cycles,
+/// injector, statistics and the leaky bucket's success run advance in
+/// closed form. The element holding the first exposure outside the
+/// horizon, and any element whose replicas disagree, runs on the per-op
+/// path from its own start. Injectors without a horizon (the default)
+/// keep every element on the per-op path, which is the reference the
+/// fast path is tested against bit for bit.
 ///
 /// # Errors
 ///
@@ -196,65 +416,80 @@ pub fn reliable_conv2d<A: QualifiedAlu>(
     config: &ReliableConvConfig,
 ) -> Result<ConvOutput, ExecError> {
     let (in_c, out_c) = validate(input, filters, bias, geom)?;
-    let (out_h, out_w) = (geom.out_h(), geom.out_w());
-    let (k_h, k_w) = (geom.k_h(), geom.k_w());
-    let (in_h, in_w) = (geom.in_h(), geom.in_w());
-    let stride = geom.stride();
-    let pad = geom.padding() as isize;
+    let plan = TapPlan::new(geom, in_c);
+    let hw = geom.out_h() * geom.out_w();
+    let filter_len = in_c * geom.k_h() * geom.k_w();
     let pe_count = config.pe_count.max(1);
+    let replicas = alu.mode().replicas();
 
     let x = input.as_slice();
-    let f = filters.as_slice();
     let mut bucket = LeakyBucket::new(config.bucket);
     let mut stats = ExecStats::default();
-    let mut out = vec![0.0f32; out_c * out_h * out_w];
+    let mut out = vec![0.0f32; out_c * hw];
+    // Results of the replicas after the first, one channel each.
+    let mut spare = vec![0.0f32; (replicas as usize - 1) * hw];
 
     for oc in 0..out_c {
         alu.set_pe(oc as u32 % pe_count);
-        let f_base = oc * in_c * k_h * k_w;
-        let bias_v = bias.map(|b| b.as_slice()[oc]).unwrap_or(0.0);
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                // The bias enters through the (common-mode) weight path.
-                let mut acc = if bias.is_some() {
-                    alu.load_weight(bias_v)
-                } else {
-                    0.0
-                };
-                let iy0 = (oy * stride) as isize - pad;
-                let ix0 = (ox * stride) as isize - pad;
-                for ic in 0..in_c {
-                    let x_base = ic * in_h * in_w;
-                    let f_chan = f_base + ic * k_h * k_w;
-                    for ky in 0..k_h {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= in_h as isize {
-                            continue;
-                        }
-                        let x_row = x_base + iy as usize * in_w;
-                        let f_row = f_chan + ky * k_w;
-                        for kx in 0..k_w {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= in_w as isize {
-                                continue;
-                            }
-                            let w = alu.load_weight(f[f_row + kx]);
-                            let a = alu.load_activation(x[x_row + ix as usize]);
-                            stats.mul_ops += 1;
-                            let m =
-                                run_qualified(alu, &mut bucket, config.retry, &mut stats, |alu| {
-                                    alu.mul(w, a)
-                                })?;
-                            stats.acc_ops += 1;
-                            acc =
-                                run_qualified(alu, &mut bucket, config.retry, &mut stats, |alu| {
-                                    alu.acc(acc, m)
-                                })?;
-                        }
+        let f = &filters.as_slice()[oc * filter_len..][..filter_len];
+        let bias_v = bias.map(|b| b.as_slice()[oc]);
+        let out_oc = &mut out[oc * hw..][..hw];
+        let mut e = 0;
+        while e < hw {
+            let horizon = alu.clean_horizon();
+            let end = plan.fit(e..hw, horizon, alu.op_count(), replicas, bias.is_some());
+            if end > e {
+                let n = end - e;
+                let acc0 = bias_v.unwrap_or(0.0);
+                plan.replica_pass(x, f, acc0, e..end, &mut out_oc[e..end]);
+                for copy in spare.chunks_exact_mut(hw) {
+                    // Opaque operands: the optimiser cannot prove this
+                    // replica reads what the first did, so it cannot fold
+                    // the replicas into one.
+                    let (x, f) = std::hint::black_box((x, f));
+                    plan.replica_pass(x, f, acc0, e..end, &mut copy[..n]);
+                }
+                #[cfg(test)]
+                if let (Some(at), Some(last)) =
+                    (UPSET_REPLICA_AT.get(), spare.chunks_exact_mut(hw).last())
+                {
+                    if (oc * hw + e..oc * hw + end).contains(&at) {
+                        UPSET_REPLICA_AT.set(None);
+                        last[at - oc * hw - e] = -last[at - oc * hw - e];
                     }
                 }
-                out[oc * out_h * out_w + oy * out_w + ox] = acc;
+                let agreed = (0..n)
+                    .find(|&i| {
+                        spare
+                            .chunks_exact(hw)
+                            .any(|copy| copy[i].to_bits() != out_oc[e + i].to_bits())
+                    })
+                    .map_or(end, |i| e + i);
+                let macs = plan.macs_before(agreed) - plan.macs_before(e);
+                let bias_loads = if bias.is_some() { agreed - e } else { 0 } as u64;
+                alu.commit_clean_macs(macs, bias_loads);
+                stats.mul_ops += macs;
+                stats.acc_ops += macs;
+                bucket.record_successes(2 * macs);
+                e = agreed;
+                if e == end {
+                    continue;
+                }
             }
+            // Per-op Algorithm 3 for the element the horizon does not
+            // cover, or whose replicas disagreed.
+            out_oc[e] = per_op_element(
+                alu,
+                &mut bucket,
+                config.retry,
+                &mut stats,
+                &plan,
+                x,
+                f,
+                bias_v,
+                e,
+            )?;
+            e += 1;
         }
     }
 
@@ -263,9 +498,48 @@ pub fn reliable_conv2d<A: QualifiedAlu>(
     stats.bucket_errors = bucket.errors();
     stats.cycles = alu.cycles();
     Ok(ConvOutput {
-        output: Tensor::from_vec(Shape::d3(out_c, out_h, out_w), out)?,
+        output: Tensor::from_vec(Shape::d3(out_c, geom.out_h(), geom.out_w()), out)?,
         stats,
     })
+}
+
+/// Output element `e` of one channel (filters `f`) as qualified
+/// operations: the bias (if any) through the common-mode weight path,
+/// then one qualified multiply and one qualified accumulate per valid
+/// tap, each under Algorithm 3's retry and bucket regime.
+#[allow(clippy::too_many_arguments)]
+fn per_op_element<A: QualifiedAlu>(
+    alu: &mut A,
+    bucket: &mut LeakyBucket,
+    retry: RetryPolicy,
+    stats: &mut ExecStats,
+    plan: &TapPlan,
+    x: &[f32],
+    f: &[f32],
+    bias: Option<f32>,
+    e: usize,
+) -> Result<f32, ExecError> {
+    let mut acc = match bias {
+        Some(b) => alu.load_weight(b),
+        None => 0.0,
+    };
+    let (oy, ox) = (e / plan.out_w, e % plan.out_w);
+    let (ky, kx) = (plan.rows[oy].clone(), plan.cols[ox].clone());
+    for ic in 0..plan.in_c {
+        for k_y in ky.clone() {
+            let iy = oy * plan.stride + k_y - plan.pad;
+            for k_x in kx.clone() {
+                let ix = ox * plan.stride + k_x - plan.pad;
+                let w = alu.load_weight(f[(ic * plan.k_h + k_y) * plan.k_w + k_x]);
+                let a = alu.load_activation(x[(ic * plan.in_h + iy) * plan.in_w + ix]);
+                stats.mul_ops += 1;
+                let m = run_qualified(alu, bucket, retry, stats, |alu| alu.mul(w, a))?;
+                stats.acc_ops += 1;
+                acc = run_qualified(alu, bucket, retry, stats, |alu| alu.acc(acc, m))?;
+            }
+        }
+    }
+    Ok(acc)
 }
 
 /// Reliable dot product under the same Algorithm-3 regime — used by the
@@ -435,6 +709,60 @@ mod tests {
         let bias = Tensor::from_vec(Shape::d1(3), vec![0.5, -0.5, 1.0]).unwrap();
         let geom = ConvGeometry::new(5, 5, 3, 3, 1, 0).unwrap();
         (input, filters, bias, geom)
+    }
+
+    /// A clean injector with an unbounded horizon that counts the
+    /// exposures still sent through `perturb`.
+    #[derive(Debug, Clone, Default)]
+    struct CleanCounter {
+        stats: relcnn_faults::InjectorStats,
+        perturbs: u64,
+    }
+
+    impl relcnn_faults::FaultInjector for CleanCounter {
+        fn perturb(&mut self, _ctx: relcnn_faults::OpContext, value: f32) -> f32 {
+            self.perturbs += 1;
+            self.stats.exposures += 1;
+            value
+        }
+        fn stats(&self) -> relcnn_faults::InjectorStats {
+            self.stats
+        }
+        fn reset_stats(&mut self) {
+            self.stats = Default::default();
+        }
+        fn clean_horizon(&mut self, _next_op: u64) -> Horizon {
+            Horizon::UNBOUNDED
+        }
+        fn commit_clean(&mut self, run: &relcnn_faults::Exposures) {
+            self.stats.exposures += run.total();
+        }
+    }
+
+    #[test]
+    fn replica_disagreement_reexecutes_the_element_per_op() {
+        let (input, filters, bias, geom) = small_problem();
+        let config = ReliableConvConfig::default();
+        for mode in [crate::RedundancyMode::Dmr, crate::RedundancyMode::Tmr] {
+            let (clean, _) = crate::with_alu(mode, NoFaults::new(), |alu| {
+                reliable_conv2d(&input, &filters, Some(&bias), &geom, alu, &config).unwrap()
+            });
+            // Output channel 1, element 4 (of 3×3): the fast path's last
+            // replica disagrees there, so the element must not be trusted.
+            UPSET_REPLICA_AT.set(Some(9 + 4));
+            let (out, counter) = crate::with_alu(mode, CleanCounter::default(), |alu| {
+                reliable_conv2d(&input, &filters, Some(&bias), &geom, alu, &config).unwrap()
+            });
+            assert_eq!(UPSET_REPLICA_AT.get(), None, "the upset was applied");
+            assert_eq!(out, clean, "{mode}: the per-op re-execution is the result");
+            // Only that element went per op: its bias load, then per tap
+            // two loads and one multiply and one accumulate per replica.
+            let taps = 2 * 3 * 3;
+            assert_eq!(
+                counter.perturbs,
+                1 + taps * (2 + 2 * mode.replicas() as u64)
+            );
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod error;
 mod policy;
 mod qualified;
 
-pub use alu::{DmrAlu, PlainAlu, QualifiedAlu, TmrAlu};
+pub use alu::{with_alu, DmrAlu, ModeAlu, PlainAlu, QualifiedAlu, TmrAlu};
 pub use bucket::{BucketConfig, BucketState, LeakyBucket};
 pub use error::ExecError;
 pub use policy::{RedundancyMode, RetryPolicy};

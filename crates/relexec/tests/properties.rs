@@ -285,3 +285,44 @@ proptest! {
         prop_assert!(!bucket.has_overflowed(), "drained bucket reports clean");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `record_successes(n)` is `n` calls to `record_success()`: level,
+    /// peak and both counters, from any state, saturated ones included.
+    #[test]
+    fn record_successes_is_n_single_successes(
+        factor in prop::sample::select(vec![1u32, 2, 3, u32::MAX / 2, u32::MAX]),
+        ceiling in prop::sample::select(vec![1u32, 3, 8, u32::MAX]),
+        history in proptest::collection::vec(any::<bool>(), 0..40),
+        n in 0u64..600,
+    ) {
+        let mut bulk = LeakyBucket::new(BucketConfig::new(factor, ceiling));
+        for &error in &history {
+            if error {
+                bulk.record_error();
+            } else {
+                bulk.record_success();
+            }
+        }
+        let mut single = bulk;
+        bulk.record_successes(n);
+        for _ in 0..n {
+            single.record_success();
+        }
+        prop_assert_eq!(bulk, single);
+    }
+}
+
+#[test]
+fn record_successes_beyond_u32_drains_a_saturated_bucket() {
+    let mut b = LeakyBucket::new(BucketConfig::new(u32::MAX, u32::MAX));
+    b.record_error();
+    b.record_error();
+    assert_eq!(b.level(), u32::MAX);
+    b.record_successes(u32::MAX as u64 + 7);
+    assert_eq!(b.level(), 0);
+    assert_eq!(b.peak(), u32::MAX);
+    assert_eq!(b.successes(), u32::MAX as u64 + 7);
+}
